@@ -121,6 +121,14 @@ class NativeReference:
                 self._runs[key] = (done.returncode, done.stdout)
         return self._runs[key]
 
+    def status(self) -> str:
+        """What the result line says about the native check."""
+        if self.skipped is not None:
+            return f"skipped: {self.skipped}"
+        if not self._runs:
+            return "not applicable: no hardened ELF"
+        return f"checked ({len(self._runs)} native runs)"
+
     def problems(self, original: bytes, hardened: bytes, good: bytes,
                  bad: bytes, marker: bytes, label: str) -> list[str]:
         """Empty when ``hardened`` behaves natively like ``original``."""

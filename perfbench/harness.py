@@ -45,6 +45,9 @@ KNOWN_ANSWERS = HERE / "known_answers.json"
 
 DEFAULT_SEED = 0
 
+# set-ups in fresh processes whose median is ``setup_s``
+SETUP_PROBES = 5
+
 # (name, unit, better) — the metrics of an untraced run
 E2E_METRICS = (
     ("op_s", "s", "lower"),
@@ -253,8 +256,6 @@ def _evaluation_outcome(case: Case, evaluation) -> Outcome:
 
 class BenchWorkload:
     name = ""
-    # fewest untraced operations in a run, whatever --seconds says
-    min_ops = 2
     # the first operation pays a cost the later ones do not
     cold_first = False
 
@@ -276,9 +277,6 @@ class CompareBootloader(BenchWorkload):
     """``r2r compare bootloader --model skip --model bitflip``."""
 
     name = "compare-bootloader"
-    # one evaluation takes ~10 s and varies by ~12% on a shared
-    # 2-core host, so a run takes the median of at least four
-    min_ops = 4
     models = ("skip", "bitflip")
 
     def setup(self, inputs, workdir):
@@ -297,8 +295,6 @@ class CampaignSteady(BenchWorkload):
     """``r2r fault`` with one exhaustive register-bitflip campaign."""
 
     name = "campaign-steady"
-    # ~4 s per campaign; the host's speed drifts within a run
-    min_ops = 6
 
     def setup(self, inputs, workdir):
         self.case = Case.build(
@@ -311,7 +307,7 @@ class CampaignSteady(BenchWorkload):
         payload = {model: checks.report_payload(report)
                    for model, report in raw.items()}
         return Outcome(
-                answer={
+            answer={
                 "digest": checks.digest(payload),
                 "outcomes": {model: dict(report.outcomes)
                              for model, report in raw.items()},
@@ -510,7 +506,7 @@ def load_known_answers() -> dict:
 
 def setup_probe(name: str, seed: int, started: float) -> float:
     """Seconds from ``started`` until the workload's inputs are
-    assembled (the process's imports included)."""
+    assembled; ``started`` is taken before the process's imports."""
     workload = WORKLOADS[name]()
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="probe-",
                                             dir=_out_dir()))
@@ -529,8 +525,8 @@ def _out_dir() -> pathlib.Path:
 
 def _probe_setup(name: str, seed: int, probes: int,
                  calibrator: Calibrator) -> list[float]:
-    """Set-up seconds of ``probes`` fresh processes, each scaled by
-    the calibration right after it."""
+    """Set-up seconds of ``probes`` fresh processes, imports included,
+    each scaled by the calibration right after it."""
     command = [sys.executable, str(HERE / "run.py"), "--setup-probe",
                "--workload", name, "--seed", str(seed)]
     samples = []
@@ -613,26 +609,20 @@ class _Run:
 
 def measure(name: str, seed: int = DEFAULT_SEED, seconds: float = 10,
             trace: bool = False, *, known: Optional[dict] = None,
-            probes: int = 0, min_ops: Optional[int] = None,
-            started: Optional[float] = None,
+            probes: int = SETUP_PROBES, min_ops: int = 1,
             trace_out: Optional[pathlib.Path] = None) -> dict:
     """Run workload ``name`` for ``seconds`` and return its numbers.
 
-    ``started`` is when the process began (so set-up includes the
-    imports); ``probes`` extra set-ups run in fresh processes for the
-    median ``setup_s``.  ``known`` maps seed -> workload -> answer.
+    Operations start until ``seconds`` have passed, and at least
+    ``min_ops`` of them; the last one runs to its end.  ``setup_s`` is
+    the median set-up of ``probes`` fresh processes.  ``known`` maps
+    seed -> workload -> answer.
     """
-    if started is None:
-        started = time.perf_counter()
     workload = WORKLOADS[name]()
-    if min_ops is None:
-        min_ops = workload.min_ops
     workdir = pathlib.Path(tempfile.mkdtemp(prefix=f"{name}-",
                                             dir=_out_dir()))
     recorder = spans.Recorder()
-    built = time.perf_counter()
     calibrator = Calibrator()
-    built = time.perf_counter() - built
     try:
         inputs = draw_inputs(seed)
         if trace:
@@ -641,7 +631,6 @@ def measure(name: str, seed: int = DEFAULT_SEED, seconds: float = 10,
                 workload.setup(inputs, workdir)
         else:
             workload.setup(inputs, workdir)
-        setup_seconds = time.perf_counter() - started - built
         run = _Run(workload, seed, known,
                    checks.NativeReference(workdir), calibrator)
         began = time.perf_counter()
@@ -657,8 +646,9 @@ def measure(name: str, seed: int = DEFAULT_SEED, seconds: float = 10,
         else:
             cold = run.untraced_op() if workload.cold_first else None
             samples, paired = [], []
-            # two pairs show whether the counters repeat
-            while more(len(samples), min(min_ops, 2)):
+            # a second pair, when there is time, checks that the
+            # counters repeat within the run
+            while more(len(samples), min_ops):
                 paired.append(run.untraced_op())
                 mark = len(recorder.results)
                 with spans.Interposer(recorder):
@@ -682,8 +672,7 @@ def measure(name: str, seed: int = DEFAULT_SEED, seconds: float = 10,
             raise RuntimeError(f"every operation failed: {run.problems}")
         run.calibrations.append(calibrator.sample())
         peak_rss_mb = calibrator.program_peak_bytes() / 2**20
-        setups = ([scaled(setup_seconds, run.calibrations[0])]
-                  + _probe_setup(name, seed, probes, calibrator))
+        setups = _probe_setup(name, seed, probes, calibrator)
     finally:
         workload.close()
         shutil.rmtree(workdir, ignore_errors=True)
@@ -700,7 +689,7 @@ def measure(name: str, seed: int = DEFAULT_SEED, seconds: float = 10,
         "attempted": run.attempted,
         "failed": run.failed,
         "problems": list(dict.fromkeys(run.problems)),
-        "native": run.native.skipped or "checked",
+        "native": run.native.status(),
         "answer": run.first.answer,
         "op_seconds": run.untraced,
         "op_scaled_seconds": scaled_ops,
@@ -762,7 +751,7 @@ def _table(workload: BenchWorkload, run: _Run, op_s: float,
     }[type(workload)]
     rows += [
         ("setup_s", statistics.median(setups), "s",
-         f"median of {len(setups)} set-ups"),
+         f"median of {len(setups)} fresh-process set-ups"),
         ("peak_rss_mb", peak_rss_mb, "MB", "this process"),
         ("failed_ops_ratio", run.failed / run.attempted, "ratio",
          f"{run.failed} of {run.attempted} operations"),

@@ -3,7 +3,7 @@
 Run from the root of a checkout::
 
     python3 perfbench/run.py --workload compare-bootloader --seed 3 \\
-        --seconds 15 --trace 0
+        --seconds 25 --trace 0
 
 Human-readable lines come first; the last line of standard output is
 one JSON object ``{"correct", "attempted", "failed", "metrics"}``.
@@ -18,7 +18,7 @@ at the default seed.
 
 import time
 
-STARTED = time.perf_counter()  # set-up time counts from here
+STARTED = time.perf_counter()  # a set-up probe counts from here
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -26,9 +26,6 @@ import pathlib  # noqa: E402
 import sys  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-# set-ups in fresh processes, besides this one, for the setup_s median
-SETUP_PROBES = 4
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -38,7 +35,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true",
-                        help=argparse.SUPPRESS)
+                        help="only set the workload up and print the "
+                        "seconds that took, imports included")
     parser.add_argument("--record-known-answers", action="store_true")
     return parser
 
@@ -47,7 +45,7 @@ def _record_known_answers(harness) -> None:
     answers = {}
     for name in harness.WORKLOADS:
         result = harness.measure(name, harness.DEFAULT_SEED, seconds=0,
-                                 min_ops=1)
+                                 probes=1)
         if result["failed"]:
             raise SystemExit(f"{name}: {result['problems']}")
         answers[name] = result["answer"]
@@ -79,8 +77,7 @@ def main(argv=None) -> int:
 
     result = harness.measure(
         args.workload, args.seed, args.seconds, bool(args.trace),
-        known=harness.load_known_answers(), probes=SETUP_PROBES,
-        started=STARTED)
+        known=harness.load_known_answers())
     print(f"{args.workload} seed={args.seed} trace={args.trace} "
           f"native-check={result['native']}")
     for name, value, unit, note in result["table"]:

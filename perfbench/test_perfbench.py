@@ -22,7 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def _measure(tmp_path, trace=False, known=None, seed=0, min_ops=1):
     return harness.measure(
         "rewrite-batch", seed, seconds=0, trace=trace, known=known,
-        min_ops=min_ops, trace_out=tmp_path / "trace.json")
+        probes=1, min_ops=min_ops, trace_out=tmp_path / "trace.json")
 
 
 def test_benchmark_json_matches_the_harness():
@@ -85,6 +85,17 @@ def test_census_invariant_rejects_a_dropped_point():
     assert checks.census_problems(*args) == []
     evaluation.diff.points.pop()
     assert checks.census_problems(*args)
+
+
+def test_native_check_says_whether_it_ran(tmp_path):
+    from repro.workloads import pincheck
+
+    native = checks.NativeReference(tmp_path)
+    assert native.status().startswith("not applicable")
+    case = harness.Case.build(pincheck.workload())
+    assert native.problems(case.elf, case.elf, case.good, case.bad,
+                           case.marker, case.name) == []
+    assert native.status().startswith(("checked", "skipped"))
 
 
 def test_traced_run_accounts_for_its_wall_time(tmp_path):
