@@ -48,6 +48,7 @@ from repro.binfmt.image import Executable
 from repro.binfmt.reader import read_elf
 from repro.binfmt.writer import write_elf
 from repro.detour.rewriter import DetourResult
+from repro.emu.jit.compiler import block_memo
 from repro.faulter.campaign import Faulter
 from repro.faulter.engine import EngineConfig
 from repro.faulter.oracle import (
@@ -198,6 +199,7 @@ class Target:
 
     # -- the paper's three methodologies ----------------------------------
 
+    @block_memo()
     def campaign(self,
                  models: Sequence[str] = ("skip", "bitflip"),
                  config: Optional[EngineConfig] = None
@@ -243,6 +245,7 @@ class Target:
         return faulter.run_all(models, backend=backend,
                                reduce=config.reduce)
 
+    @block_memo()
     def harden(self,
                approach: str = "faulter+patcher",
                fault_models: Sequence[str] = ("skip",),
@@ -266,6 +269,7 @@ class Target:
             self.exe, self.good_input, self.bad_input, self.oracle,
             models=tuple(fault_models), name=self.name, **kwargs)
 
+    @block_memo()
     def evaluate(self,
                  approach: str = "faulter+patcher",
                  models: Sequence[str] = ("skip",),

@@ -1,4 +1,4 @@
-"""The trace compiler: block cache, execution loop, coherence, stats.
+"""The trace compiler: block cache and memo, execution, coherence, stats.
 
 Blocks are keyed by static start address, so one compilation serves the
 baseline trace *and* every faulted suffix that passes through the same
@@ -27,6 +27,8 @@ blocks.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -43,6 +45,25 @@ _UNCOMPILED = object()
 # serialized-block payload schema (see export_blocks/import_blocks);
 # bump to orphan previously serialized caches
 EXPORT_VERSION = 1
+
+# lowered blocks shared by the compilers created inside block_memo()
+_MEMO: ContextVar = ContextVar("jit_block_memo", default=None)
+
+
+@contextmanager
+def block_memo():
+    """Share lift->IR->lower work among compilers created inside.
+
+    Keyed by block content — start address and raw bytes — so a patched
+    image never reuses a block whose bytes changed; a failed lift is
+    remembered as ``None``.  Each compiler still carves and caches its
+    own blocks, so which blocks compile, and when, is unchanged.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 class BlockInvalidated(Exception):
@@ -67,6 +88,15 @@ class SuperBlock:
     source: str = ""
 
 
+def _lower(body, terminator, address: int):
+    """``(step, writes_memory, source)`` for a carved block, or None."""
+    try:
+        function = lift_superblock(body, address)
+        return lower_superblock(function, body, terminator)
+    except (LiftError, IRError, JitUnsupported):
+        return None
+
+
 class TraceCompiler:
     """Compiles and runs superblocks for a family of machines.
 
@@ -84,6 +114,7 @@ class TraceCompiler:
         self.divergences = 0
         self.compile_seconds = 0.0
         self.compiled_blocks = 0
+        self._memo = _MEMO.get()
 
     # -- machine binding ----------------------------------------------
 
@@ -129,14 +160,18 @@ class TraceCompiler:
     def _compile_at(self, machine, address: int) -> Optional[SuperBlock]:
         started = time.perf_counter()
         block = None
-        try:
-            body, terminator = carve(machine, address)
-            if body or terminator is not None:
-                function = lift_superblock(body, address)
-                step, writes_memory, source = lower_superblock(
-                    function, body, terminator)
-                insns = tuple(body) + (
-                    (terminator,) if terminator is not None else ())
+        body, terminator = carve(machine, address)
+        insns = tuple(body) + (
+            (terminator,) if terminator is not None else ())
+        if insns:
+            # start and bytes fix every decoded instruction
+            key = (address, b"".join(insn.raw for insn in insns))
+            memo = self._memo if self._memo is not None else {}
+            lowered = memo.get(key, _UNCOMPILED)
+            if lowered is _UNCOMPILED:
+                lowered = memo[key] = _lower(body, terminator, address)
+            if lowered is not None:
+                step, writes_memory, source = lowered
                 last = insns[-1]
                 block = SuperBlock(
                     start=address,
@@ -148,8 +183,6 @@ class TraceCompiler:
                     insns=insns,
                     source=source,
                 )
-        except (LiftError, IRError, JitUnsupported):
-            block = None
         self._blocks[address] = block
         if block is not None:
             self.compiled_blocks += 1

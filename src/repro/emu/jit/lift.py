@@ -36,12 +36,13 @@ from repro.isa.registers import all_gpr64
 _INC_DEC_FLAGS = frozenset({"pf", "af", "zf", "sf", "of"})
 _SHIFT_FLAGS = frozenset({"cf", "pf", "zf", "sf"})
 
+# per-pass verification runs in tests/emu/test_jit.py, not per lift
 _PIPELINE = PassManager([
     ("mem2reg", mem2reg),
     ("constfold", constant_fold),
     ("cse", cse),
     ("dce", dce),
-])
+], verify_each=False)
 
 
 class _FlagMarkers:

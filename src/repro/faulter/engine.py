@@ -50,6 +50,7 @@ straggler partition no longer gates the whole wave.
 from __future__ import annotations
 
 import atexit
+import contextvars
 import math
 import os
 import pickle
@@ -1055,7 +1056,9 @@ class _WorkerFleet:
                 args=(self._tasks, self._results),
                 daemon=True,
             )
-            process.start()
+            # fork in an empty context: a worker outlives the call that
+            # spawned it and must not keep that call's JIT block memo
+            contextvars.Context().run(process.start)
             self._processes.append(process)
 
     def alive(self) -> bool:
